@@ -7,8 +7,11 @@ use overhaul_bench::ablation::{sweep_delta, sweep_propagation, sweep_shm_wait, s
 use overhaul_bench::applicability;
 use overhaul_bench::table1::{self, Scale};
 use overhaul_bench::usability::{self, StudyConfig};
-use overhaul_core::{replay, replay_from, Event, EventLog, OverhaulConfig, Recorder, System};
+use overhaul_core::{
+    replay, replay_from, timeline, Event, EventLog, OverhaulConfig, Recorder, System,
+};
 use overhaul_kernel::device::DeviceClass;
+use overhaul_sim::snapshot::fnv1a64;
 use overhaul_sim::SimDuration;
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, Reply, Request, XEvent};
@@ -178,6 +181,62 @@ fn replay_golden_audit_timeline() {
     });
     let (recorded, log) = rec.finish();
     assert_replay_golden(&recorded, &log);
+}
+
+/// Pins the `audit_timeline` example's outputs to absolute constants.
+/// The replay goldens compare a replay only with its own recording, so a
+/// rendering change that shifts both sides alike passes them; this does
+/// not.
+#[test]
+fn audit_timeline_outputs_are_pinned() {
+    let mut machine = System::new(OverhaulConfig::protected().with_tracing());
+    let recorder = machine
+        .launch_gui_app("/usr/bin/recorder", Rect::new(0, 0, 300, 200))
+        .expect("launch");
+    machine.settle();
+    machine.click_window(recorder.window);
+    machine.advance(SimDuration::from_millis(120));
+    let fd = machine
+        .open_device(recorder.pid, "/dev/snd/mic0")
+        .expect("open");
+    machine
+        .kernel_mut()
+        .sys_close(recorder.pid, fd)
+        .expect("close");
+    machine
+        .x_request(
+            recorder.client,
+            Request::SetSelectionOwner {
+                selection: Atom::clipboard(),
+                window: recorder.window,
+            },
+        )
+        .ok();
+    machine.advance(SimDuration::from_secs(30));
+    let spy = machine.spawn_process(None, "/usr/bin/.spy").expect("spawn");
+    let _ = machine.open_device(spy, "/dev/video0");
+    let spy_client = machine.connect_x(spy);
+    let _ = machine.x_request(spy_client, Request::GetImage { window: None });
+
+    let rendered = timeline::render(&timeline::merge(&machine), None);
+    let pinned = (
+        fnv1a64(rendered.as_bytes()),
+        machine.kernel_ledger().head(),
+        machine.x_ledger().head(),
+        machine.state_hash(),
+        fnv1a64(machine.trace_dump().as_bytes()),
+    );
+    assert_eq!(
+        pinned,
+        (
+            0x1035_4c52_5317_1dc9,
+            0xee1e_9b86_f982_489e,
+            0xc387_33fe_851e_94e5,
+            0xbb8e_82b1_4f64_b123,
+            0xfa73_44c0_c048_d673,
+        ),
+        "rendered timeline:\n{rendered}"
+    );
 }
 
 #[test]
