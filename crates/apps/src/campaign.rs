@@ -978,14 +978,9 @@ pub fn run_campaign(
     fault_tolerant: bool,
 ) -> CampaignReport {
     let mut driver = CampaignDriver::new();
-    let suppressed_before = rec
-        .system()
-        .x_audit()
-        .count(AuditCategory::ClickjackingSuppressed);
-    let filtered_before = rec
-        .system()
-        .x_audit()
-        .count(AuditCategory::SyntheticInputFiltered);
+    let x_audit = rec.system().x_audit();
+    let suppressed_before = x_audit.count(AuditCategory::ClickjackingSuppressed);
+    let filtered_before = x_audit.count(AuditCategory::SyntheticInputFiltered);
 
     let mut stages = Vec::with_capacity(campaign.stages.len());
     for stage in &campaign.stages {
@@ -1020,18 +1015,15 @@ pub fn run_campaign(
         });
     }
 
+    let x_audit = rec.system().x_audit();
     CampaignReport {
         name: campaign.name,
         class: campaign.class,
         stages,
-        clickjacking_suppressed: rec
-            .system()
-            .x_audit()
+        clickjacking_suppressed: x_audit
             .count(AuditCategory::ClickjackingSuppressed)
             .saturating_sub(suppressed_before),
-        synthetic_filtered: rec
-            .system()
-            .x_audit()
+        synthetic_filtered: x_audit
             .count(AuditCategory::SyntheticInputFiltered)
             .saturating_sub(filtered_before),
         ledger_verified: rec.system().verify_ledgers().is_ok(),

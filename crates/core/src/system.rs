@@ -301,8 +301,9 @@ impl System {
         self.fault.as_ref()
     }
 
-    /// The kernel-side audit log.
-    pub fn kernel_audit(&self) -> &AuditLog {
+    /// The kernel-side audit log, rendered from the kernel ledger on each
+    /// call.
+    pub fn kernel_audit(&self) -> AuditLog {
         self.kernel.audit()
     }
 
@@ -361,8 +362,9 @@ impl System {
         self.kernel.metrics_registry()
     }
 
-    /// The display-manager audit log.
-    pub fn x_audit(&self) -> &AuditLog {
+    /// The display-manager audit log, rendered from the display
+    /// manager's ledger on each call.
+    pub fn x_audit(&self) -> AuditLog {
         self.x.audit()
     }
 
@@ -371,7 +373,7 @@ impl System {
     // ---------------------------------------------------------------
 
     /// The kernel's hash-chained ledger (the authoritative history the
-    /// kernel audit log is projected from).
+    /// kernel audit log is rendered from).
     pub fn kernel_ledger(&self) -> &Ledger {
         self.kernel.ledger()
     }

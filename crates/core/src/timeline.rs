@@ -1,11 +1,12 @@
 //! Unified audit timeline.
 //!
-//! Both halves of the system keep their own audit logs (the kernel's
+//! Both halves of the system keep their own ledger (the kernel's
 //! permission monitor and the display manager's trusted paths). The §V-C
 //! and §V-D analyses work by "inspecting the logs produced by our system";
-//! [`merge`] interleaves the two logs into one chronological view so a
-//! single pass answers questions like *which interaction led to this
-//! grant* or *which component blocked this attack*.
+//! [`merge`] interleaves the audited entries of the two ledgers into one
+//! chronological view so a single pass answers questions like *which
+//! interaction led to this grant* or *which component blocked this
+//! attack*.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -57,30 +58,29 @@ impl fmt::Display for TimelineEntry {
     }
 }
 
-/// Merges both audit logs into one chronological timeline. Entries with
-/// equal timestamps keep kernel-before-display order (notifications reach
-/// the monitor before the decision they enable).
+/// Merges the audited entries of both ledgers into one chronological
+/// timeline. Entries with equal timestamps keep kernel-before-display
+/// order (notifications reach the monitor before the decision they
+/// enable).
 pub fn merge(system: &System) -> Vec<TimelineEntry> {
-    let mut entries: Vec<TimelineEntry> =
-        Vec::with_capacity(system.kernel_audit().len() + system.x_audit().len());
-    for event in system.kernel_audit().events() {
-        entries.push(TimelineEntry {
-            at: event.at,
-            source: Source::Kernel,
-            category: event.category,
-            pid: event.pid,
-            detail: event.detail.clone(),
-        });
-    }
-    for event in system.x_audit().events() {
-        entries.push(TimelineEntry {
-            at: event.at,
-            source: Source::DisplayManager,
-            category: event.category,
-            pid: event.pid,
-            detail: event.detail.clone(),
-        });
-    }
+    let kernel = system
+        .kernel_ledger()
+        .audited()
+        .map(|e| (Source::Kernel, e));
+    let x = system
+        .x_ledger()
+        .audited()
+        .map(|e| (Source::DisplayManager, e));
+    let mut entries: Vec<TimelineEntry> = kernel
+        .chain(x)
+        .map(|(source, e)| TimelineEntry {
+            at: e.at,
+            source,
+            category: e.category,
+            pid: e.pid,
+            detail: e.detail.clone(),
+        })
+        .collect();
     entries.sort_by_key(|e| (e.at, matches!(e.source, Source::DisplayManager)));
     entries
 }

@@ -571,12 +571,9 @@ fn run_campaign_stages(
     let script = kind.build();
     let mut driver = CampaignDriver::new();
     let mut stages: Vec<StageReport> = Vec::with_capacity(script.stages.len());
-    let suppressed_before = system
-        .x_audit()
-        .count(AuditCategory::ClickjackingSuppressed);
-    let filtered_before = system
-        .x_audit()
-        .count(AuditCategory::SyntheticInputFiltered);
+    let x_audit = system.x_audit();
+    let suppressed_before = x_audit.count(AuditCategory::ClickjackingSuppressed);
+    let filtered_before = x_audit.count(AuditCategory::SyntheticInputFiltered);
 
     for stage in &script.stages {
         let resolved =
@@ -640,16 +637,15 @@ fn run_campaign_stages(
         });
     }
 
+    let x_audit = system.x_audit();
     Ok(CampaignReport {
         name: script.name,
         class: script.class,
         stages,
-        clickjacking_suppressed: system
-            .x_audit()
+        clickjacking_suppressed: x_audit
             .count(AuditCategory::ClickjackingSuppressed)
             .saturating_sub(suppressed_before),
-        synthetic_filtered: system
-            .x_audit()
+        synthetic_filtered: x_audit
             .count(AuditCategory::SyntheticInputFiltered)
             .saturating_sub(filtered_before),
         ledger_verified: system.verify_ledgers().is_ok(),

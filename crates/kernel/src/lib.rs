@@ -175,7 +175,7 @@ pub struct Kernel {
     pub(crate) ptrace: PtracePolicy,
     /// The authoritative hash-chained history. Every audited event and
     /// every control-plane mutation is appended here as a typed entry; the
-    /// legacy audit log survives as the ledger's rendered projection.
+    /// audit log is rendered from it on demand.
     pub(crate) ledger: Ledger,
     /// Optional fault plan governing channel faults and boot-time stat
     /// failures. `None` (the default) injects nothing.
@@ -355,8 +355,8 @@ impl Kernel {
         self.mm.set_wait_duration(wait);
     }
 
-    /// The audit log — the rendered projection of the ledger.
-    pub fn audit(&self) -> &AuditLog {
+    /// The audit log, rendered from the ledger on each call.
+    pub fn audit(&self) -> AuditLog {
         self.ledger.audit()
     }
 
@@ -365,7 +365,7 @@ impl Kernel {
         &self.ledger
     }
 
-    /// Appends a projected informational entry to the ledger (system
+    /// Appends an audited informational entry to the ledger (system
     /// harness events such as a display-manager crash).
     pub fn record_event(
         &mut self,
@@ -377,9 +377,9 @@ impl Kernel {
             .append(LedgerEntry::event(self.clock.now(), category, pid, detail));
     }
 
-    /// Discards retained ledger entries and the audit projection
-    /// (measurement harnesses bound history growth). The chain head and
-    /// sequence numbering stay monotone across the clear.
+    /// Discards retained ledger entries, and with them the rendered audit
+    /// log (measurement harnesses bound history growth). The chain head
+    /// and sequence numbering stay monotone across the clear.
     pub fn clear_history(&mut self) {
         self.ledger.clear();
     }

@@ -8,8 +8,8 @@
 //!   VFS, devices and the udev path map, monitor counters and pending
 //!   alerts, the channel registry (sequence numbers and suppression
 //!   watermarks), every IPC table, the shm wait list, the hash-chained
-//!   ledger (the audit log is rebuilt from it as a projection on decode),
-//!   and the in-flight push/reorder buffers. Serialized field by field in
+//!   ledger (the audit log is rendered from it when read, so nothing is
+//!   rebuilt on decode), and the in-flight push/reorder buffers. Serialized field by field in
 //!   a fixed order.
 //! * **Derived state** — the epoch-keyed [`crate::policy::VerdictCache`]
 //!   (which also holds the per-task `explain_last` cells) and the

@@ -1,23 +1,22 @@
-//! Structured audit log.
+//! The audit log, rendered from the ledger.
 //!
 //! Section V of the paper repeatedly relies on Overhaul's logs: the
 //! applicability study (§V-C) "verified correct functionality by inspecting
 //! the logs produced by our system", and the empirical study (§V-D) checked
 //! "OVERHAUL's logs ... that attempts to access the protected resources were
-//! detected and blocked". This module is that log: every layer appends
-//! [`AuditEvent`]s, and the experiment harnesses query them to produce the
-//! reported numbers.
+//! detected and blocked". The history itself lives only in the hash-chained
+//! [`Ledger`](crate::Ledger); [`Ledger::audit`](crate::Ledger::audit)
+//! renders its non-silent entries into an [`AuditLog`] on demand, and the
+//! experiment harnesses query that value to produce the reported numbers.
 
 use std::borrow::Cow;
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use crate::ids::Pid;
 use crate::time::Timestamp;
 
 /// The kind of event recorded in the audit log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditCategory {
     /// The display manager authenticated a hardware input event and notified
     /// the kernel permission monitor (an `N_{A,t}` in the paper's notation).
@@ -69,7 +68,7 @@ impl fmt::Display for AuditCategory {
 }
 
 /// One record in the audit log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditEvent {
     /// Virtual time at which the event occurred.
     pub at: Timestamp,
@@ -78,8 +77,8 @@ pub struct AuditEvent {
     /// The process the event concerns, when one is identifiable.
     pub pid: Option<Pid>,
     /// Human-readable detail (resource name, operation, reason).
-    /// `Cow` keeps the mediation hot path allocation-free: common details
-    /// are static strings.
+    /// `Cow` lets the rendered log share the ledger's static details
+    /// instead of copying them.
     pub detail: Cow<'static, str>,
 }
 
@@ -96,7 +95,8 @@ impl fmt::Display for AuditEvent {
     }
 }
 
-/// An append-only, queryable event log.
+/// A queryable list of audit events: the value
+/// [`Ledger::audit`](crate::Ledger::audit) renders.
 ///
 /// ```
 /// use overhaul_sim::{AuditCategory, AuditLog, Pid, Timestamp};
@@ -106,7 +106,7 @@ impl fmt::Display for AuditEvent {
 ///            Some(Pid::from_raw(7)), "mic open without interaction");
 /// assert_eq!(log.count(AuditCategory::PermissionDenied), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,
 }
@@ -176,82 +176,6 @@ impl AuditLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Moves all events out of `other` into `self`, preserving order.
-    pub fn absorb(&mut self, other: &mut AuditLog) {
-        self.events.append(&mut other.events);
-    }
-
-    /// Drops all events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
-mod pack {
-    //! Snapshot codec for the audit log (part of the hashed state section:
-    //! the log is a pure function of the event history, so replay must
-    //! reproduce it byte-for-byte).
-
-    use std::borrow::Cow;
-
-    use super::{AuditCategory, AuditEvent, AuditLog};
-    use crate::impl_pack;
-    use crate::snapshot::{Dec, Enc, Pack, SnapshotError};
-
-    impl Pack for AuditCategory {
-        fn pack(&self, enc: &mut Enc) {
-            enc.put_u8(match self {
-                AuditCategory::InteractionNotification => 0,
-                AuditCategory::PermissionGranted => 1,
-                AuditCategory::PermissionDenied => 2,
-                AuditCategory::SyntheticInputFiltered => 3,
-                AuditCategory::ClickjackingSuppressed => 4,
-                AuditCategory::AlertDisplayed => 5,
-                AuditCategory::InteractionPropagated => 6,
-                AuditCategory::ProtocolAttackBlocked => 7,
-                AuditCategory::PtraceHardening => 8,
-                AuditCategory::ChannelEvent => 9,
-                AuditCategory::Info => 10,
-            });
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(match dec.take_u8()? {
-                0 => AuditCategory::InteractionNotification,
-                1 => AuditCategory::PermissionGranted,
-                2 => AuditCategory::PermissionDenied,
-                3 => AuditCategory::SyntheticInputFiltered,
-                4 => AuditCategory::ClickjackingSuppressed,
-                5 => AuditCategory::AlertDisplayed,
-                6 => AuditCategory::InteractionPropagated,
-                7 => AuditCategory::ProtocolAttackBlocked,
-                8 => AuditCategory::PtraceHardening,
-                9 => AuditCategory::ChannelEvent,
-                10 => AuditCategory::Info,
-                _ => return Err(SnapshotError::BadValue("audit category")),
-            })
-        }
-    }
-
-    /// `Cow` details encode by content; restore owns the string. Equality
-    /// and rendering only see the content, so this is transparent.
-    impl Pack for Cow<'static, str> {
-        fn pack(&self, enc: &mut Enc) {
-            enc.put_u64(self.len() as u64);
-            enc.put_slice(self.as_bytes());
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(Cow::Owned(String::unpack(dec)?))
-        }
-    }
-
-    impl_pack!(AuditEvent {
-        at,
-        category,
-        pid,
-        detail
-    });
-    impl_pack!(AuditLog { events });
 }
 
 #[cfg(test)]
@@ -317,27 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn absorb_moves_events() {
-        let mut a = sample();
-        let mut b = AuditLog::new();
-        b.record(Timestamp::from_millis(4), AuditCategory::Info, None, "x");
-        a.absorb(&mut b);
-        assert_eq!(a.len(), 4);
-        assert!(b.is_empty());
-    }
-
-    #[test]
     fn display_includes_pid_when_present() {
         let log = sample();
         let rendered = log.events()[0].to_string();
         assert!(rendered.contains("pid:10"));
         assert!(rendered.contains("interaction-notification"));
-    }
-
-    #[test]
-    fn clear_empties_log() {
-        let mut log = sample();
-        log.clear();
-        assert!(log.is_empty());
     }
 }

@@ -18,10 +18,10 @@
 //!   single flipped bit anywhere in the retained history changes some
 //!   entry's encoding, so its recomputed seal (or a successor's) stops
 //!   matching the stored one.
-//! * The legacy [`AuditLog`] survives as a **rendered projection**,
-//!   materialized at append time (entries marked `silent` carry structured
-//!   effects only and do not project), so every existing log-inspecting
-//!   test and the procfs STATS page read exactly what they always read.
+//! * The ledger is the only stored history. [`Ledger::audit`] renders
+//!   the [`AuditLog`] on demand from the retained entries that are not
+//!   `silent` (silent entries carry structured effects only), so
+//!   appending and decoding do no work for the audit view.
 //! * Control-plane state is a **deterministic reduction** of the ledger:
 //!   [`Ledger::reduce`] folds the effects into a [`ControlPlane`] whose
 //!   [`ControlPlane::state_hash`] must equal the live system's — from
@@ -212,32 +212,32 @@ impl Effect {
 
 /// One typed history entry, before sealing.
 ///
-/// `category`/`pid`/`detail` are exactly what the legacy audit row
-/// carried; `effect` is the structured payload the reduction folds; a
-/// `silent` entry is ledger-only (no audit projection) — used for
-/// control-plane mutations that were historically unaudited, so the
-/// rendered log stays byte-identical to what tests expect.
+/// `category`/`pid`/`detail` are what the rendered audit row shows;
+/// `effect` is the structured payload the reduction folds; a `silent`
+/// entry is left out of the rendered audit log — used for control-plane
+/// mutations that were historically unaudited, so the rendered log stays
+/// byte-identical to what tests expect.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// Virtual time of the event.
     pub at: Timestamp,
     /// The process the entry concerns, if any.
     pub pid: Option<Pid>,
-    /// Legacy audit category (also the projection's category).
+    /// Audit category (also the rendered audit row's category).
     pub category: AuditCategory,
     /// Rendered detail. Hot-path appends use `Cow::Borrowed` statics so
-    /// sealing and projection are allocation-free.
+    /// sealing is allocation-free.
     pub detail: Cow<'static, str>,
     /// Structured payload, if the entry mutates control-plane state or
     /// records a verdict.
     pub effect: Option<Effect>,
-    /// Whether the entry is excluded from the audit projection.
+    /// Whether the entry is excluded from the rendered audit log.
     pub silent: bool,
 }
 
 impl LedgerEntry {
-    /// A projected (non-silent) entry with no structured effect — the
-    /// shape of a legacy audit row.
+    /// An audited (non-silent) entry with no structured effect — the
+    /// shape of an audit row.
     #[inline]
     pub fn event(
         at: Timestamp,
@@ -262,7 +262,7 @@ impl LedgerEntry {
         self
     }
 
-    /// A silent entry: structured effect only, no audit projection.
+    /// A silent entry: structured effect only, no audit row.
     pub fn silent(at: Timestamp, effect: Effect) -> Self {
         LedgerEntry {
             at,
@@ -345,8 +345,7 @@ fn seal(scratch: &mut Enc, prev: u64, seq: u64, entry: &LedgerEntry) -> u64 {
     fnv1a64(scratch.bytes())
 }
 
-/// The append-only hash-chained history, plus its materialized audit
-/// projection.
+/// The append-only hash-chained history.
 ///
 /// Serialization keeps `seq`/`chain` verbatim (they are *evidence*, not
 /// derivable hints), so corruption introduced between a seal and a later
@@ -361,9 +360,6 @@ pub struct Ledger {
     /// ([`GENESIS_HEAD`] for a never-cleared ledger).
     base_head: u64,
     entries: Vec<SealedEntry>,
-    /// The legacy audit view, materialized at append time from non-silent
-    /// entries.
-    projection: AuditLog,
     /// Reusable seal staging buffer (never serialized or compared; purely
     /// an allocation-avoidance cache for the append hot path).
     scratch: Enc,
@@ -376,22 +372,17 @@ impl Ledger {
             base_seq: 0,
             base_head: GENESIS_HEAD,
             entries: Vec::new(),
-            projection: AuditLog::new(),
             scratch: Enc::new(),
         }
     }
 
-    /// Appends an entry, sealing it onto the chain and (unless silent)
-    /// projecting it into the audit view. Returns the new chain head.
+    /// Appends an entry, sealing it onto the chain. Returns the new chain
+    /// head.
     #[inline]
     pub fn append(&mut self, entry: LedgerEntry) -> u64 {
         let seq = self.next_seq();
         let prev = self.head();
         let chain = seal(&mut self.scratch, prev, seq, &entry);
-        if !entry.silent {
-            self.projection
-                .record(entry.at, entry.category, entry.pid, entry.detail.clone());
-        }
         self.entries.push(SealedEntry { seq, chain, entry });
         chain
     }
@@ -405,26 +396,13 @@ impl Ledger {
 
     /// Reassembles a ledger from untrusted parts — e.g. a history shipped
     /// by another machine, or a tampering corpus under test. Seals and
-    /// sequence numbers are taken verbatim and the audit projection is
-    /// rebuilt from the non-silent entries; run [`Ledger::verify_chain`]
+    /// sequence numbers are taken verbatim; run [`Ledger::verify_chain`]
     /// before trusting the result.
     pub fn from_parts(base_seq: u64, base_head: u64, entries: Vec<SealedEntry>) -> Ledger {
-        let mut projection = AuditLog::new();
-        for sealed in &entries {
-            if !sealed.entry.silent {
-                projection.record(
-                    sealed.entry.at,
-                    sealed.entry.category,
-                    sealed.entry.pid,
-                    sealed.entry.detail.clone(),
-                );
-            }
-        }
         Ledger {
             base_seq,
             base_head,
             entries,
-            projection,
             scratch: Enc::new(),
         }
     }
@@ -451,19 +429,32 @@ impl Ledger {
         &self.entries
     }
 
-    /// The legacy audit view of the retained history.
-    pub fn audit(&self) -> &AuditLog {
-        &self.projection
+    /// The retained entries that are not silent: the rows of the audit
+    /// log, in append order.
+    pub fn audited(&self) -> impl Iterator<Item = &LedgerEntry> {
+        self.entries
+            .iter()
+            .map(|sealed| &sealed.entry)
+            .filter(|entry| !entry.silent)
     }
 
-    /// Discards retained entries and the projection, keeping the chain
-    /// head and sequence numbering monotone (measurement harnesses call
-    /// this so unbounded history growth cannot distort long loops).
+    /// The audit log of the retained history, rendered from
+    /// [`Ledger::audited`] on each call.
+    pub fn audit(&self) -> AuditLog {
+        let mut log = AuditLog::new();
+        for entry in self.audited() {
+            log.record(entry.at, entry.category, entry.pid, entry.detail.clone());
+        }
+        log
+    }
+
+    /// Discards retained entries, keeping the chain head and sequence
+    /// numbering monotone (measurement harnesses call this so unbounded
+    /// history growth cannot distort long loops).
     pub fn clear(&mut self) {
         self.base_seq = self.next_seq();
         self.base_head = self.head();
         self.entries.clear();
-        self.projection.clear();
     }
 
     /// Re-derives the chain over the retained entries and checks every
@@ -774,11 +765,60 @@ mod pack {
     //! machinery. Seals and sequence numbers serialize verbatim so a
     //! decoded ledger still witnesses any corruption of its bytes.
 
+    use std::borrow::Cow;
+
     use super::{
         ChannelTag, ConfigKey, ControlPlane, Effect, Ledger, LedgerEntry, RuleKind, SealedEntry,
     };
+    use crate::audit::AuditCategory;
     use crate::impl_pack;
     use crate::snapshot::{Dec, Enc, Pack, SnapshotError};
+
+    impl Pack for AuditCategory {
+        fn pack(&self, enc: &mut Enc) {
+            enc.put_u8(match self {
+                AuditCategory::InteractionNotification => 0,
+                AuditCategory::PermissionGranted => 1,
+                AuditCategory::PermissionDenied => 2,
+                AuditCategory::SyntheticInputFiltered => 3,
+                AuditCategory::ClickjackingSuppressed => 4,
+                AuditCategory::AlertDisplayed => 5,
+                AuditCategory::InteractionPropagated => 6,
+                AuditCategory::ProtocolAttackBlocked => 7,
+                AuditCategory::PtraceHardening => 8,
+                AuditCategory::ChannelEvent => 9,
+                AuditCategory::Info => 10,
+            });
+        }
+        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+            Ok(match dec.take_u8()? {
+                0 => AuditCategory::InteractionNotification,
+                1 => AuditCategory::PermissionGranted,
+                2 => AuditCategory::PermissionDenied,
+                3 => AuditCategory::SyntheticInputFiltered,
+                4 => AuditCategory::ClickjackingSuppressed,
+                5 => AuditCategory::AlertDisplayed,
+                6 => AuditCategory::InteractionPropagated,
+                7 => AuditCategory::ProtocolAttackBlocked,
+                8 => AuditCategory::PtraceHardening,
+                9 => AuditCategory::ChannelEvent,
+                10 => AuditCategory::Info,
+                _ => return Err(SnapshotError::BadValue("audit category")),
+            })
+        }
+    }
+
+    /// `Cow` details encode by content; restore owns the string. Equality
+    /// and rendering only see the content, so this is transparent.
+    impl Pack for Cow<'static, str> {
+        fn pack(&self, enc: &mut Enc) {
+            enc.put_u64(self.len() as u64);
+            enc.put_slice(self.as_bytes());
+        }
+        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+            Ok(Cow::Owned(String::unpack(dec)?))
+        }
+    }
 
     impl Pack for ConfigKey {
         fn pack(&self, enc: &mut Enc) {
@@ -939,10 +979,9 @@ mod pack {
 
     impl_pack!(SealedEntry { seq, chain, entry });
 
-    // Hand-written (not `impl_pack!`): the audit projection is *derived*
-    // — rebuilt from the entries on decode — so every serialized byte
-    // past the container framing is covered by the chain, and a decoded
-    // ledger cannot carry a projection its sealed history disagrees with.
+    // Hand-written (not `impl_pack!`): the seal scratch buffer is not
+    // state, so every serialized byte past the container framing is
+    // covered by the chain.
     impl Pack for Ledger {
         fn pack(&self, enc: &mut Enc) {
             self.base_seq.pack(enc);

@@ -13,9 +13,9 @@
 //!   by the kernel and display-manager simulators.
 //! * [`rng`] — a seedable deterministic random source used by workload
 //!   generators.
-//! * [`audit`] — a structured audit log; the permission monitor, the display
-//!   manager, and the experiment harnesses all append here, and the
-//!   evaluation binaries read their results back out of it.
+//! * [`audit`] — the structured audit log, rendered on demand from a
+//!   [`Ledger`] ([`Ledger::audit`]); the evaluation binaries read their
+//!   results out of it.
 //! * [`trace`] — deterministic virtual-time span tracing ([`Tracer`]) and a
 //!   [`MetricsRegistry`] of counters/gauges/histograms; every mediation path
 //!   (decisions, channel exchanges, page faults, IPC propagation hops,
@@ -26,9 +26,9 @@
 //!   hash behind `System::snapshot` / `System::restore` and record/replay.
 //! * [`ledger`] — the append-only, hash-chained authoritative history
 //!   ([`Ledger`]): typed entries with structured [`Effect`]s, a sealed
-//!   running chain hash ([`Ledger::verify_chain`]), the legacy
-//!   [`AuditLog`] maintained as a rendered projection, and control-plane
-//!   state as a deterministic reduction ([`ControlPlane`]).
+//!   running chain hash ([`Ledger::verify_chain`]), and control-plane
+//!   state as a deterministic reduction ([`ControlPlane`]). It is the
+//!   only stored history; the [`AuditLog`] is rendered from it.
 //!
 //! # Example
 //!

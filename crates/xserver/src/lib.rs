@@ -125,8 +125,8 @@ pub struct XServer {
     alerts: AlertManager,
     prompts: PromptSurface,
     focus: Option<WindowId>,
-    /// Hash-chained authoritative history; the legacy audit log is a
-    /// rendered projection of its non-silent entries.
+    /// Hash-chained authoritative history; the audit log is rendered from
+    /// its non-silent entries on demand.
     ledger: Ledger,
     /// Virtual-time span tracer. Disabled (no-op) unless the system harness
     /// installs a shared enabled handle, in which case the display manager
@@ -192,14 +192,14 @@ impl XServer {
         self.config.visibility_threshold = threshold;
     }
 
-    /// The display manager's audit log — a rendered projection of the
-    /// hash-chained ledger.
-    pub fn audit(&self) -> &AuditLog {
+    /// The display manager's audit log, rendered from the hash-chained
+    /// ledger on each call.
+    pub fn audit(&self) -> AuditLog {
         self.ledger.audit()
     }
 
     /// The display manager's hash-chained ledger (the authoritative
-    /// history the audit log is projected from).
+    /// history the audit log is rendered from).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -211,8 +211,8 @@ impl XServer {
         self.ledger.clear();
     }
 
-    /// Appends an informational event to the ledger (and thereby the
-    /// projected audit log).
+    /// Appends an informational event to the ledger (an audited entry, so
+    /// it shows in the rendered audit log).
     fn record(
         &mut self,
         at: Timestamp,

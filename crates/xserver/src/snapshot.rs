@@ -5,8 +5,8 @@
 //! queues, the window tree (including stacking order and `visible_since`
 //! clocks, which the clickjacking gate depends on), selection ownership
 //! and in-flight transfers, the overlay alert and prompt surfaces, input
-//! focus, and the hash-chained ledger (the audit log is rebuilt from it as
-//! a projection on decode). The shared virtual clock and tracer are owned
+//! focus, and the hash-chained ledger (the audit log is rendered from it
+//! when read, so nothing is rebuilt on decode). The shared virtual clock and tracer are owned
 //! by the system harness, which serializes each once and hands the
 //! imported handles back in.
 

@@ -301,7 +301,8 @@ proptest! {
         // Every grant follows an interaction notification for the same
         // pid within δ.
         let delta = SimDuration::from_secs(2);
-        let events = system.kernel_audit().events();
+        let audit = system.kernel_audit();
+        let events = audit.events();
         for (i, e) in events.iter().enumerate() {
             if e.category == AuditCategory::PermissionGranted {
                 let justified = events[..i].iter().any(|p| {
